@@ -1,5 +1,6 @@
 //! Extension study: sensitivity of both controllers to the queue-detector
-//! range (the calibration dimension documented in EXPERIMENTS.md).
+//! range (the calibration dimension documented on
+//! `MicroSimConfig::detection_range_m`).
 
 use utilbp_experiments::{run, Backend, ControllerKind, Probe, Scenario};
 use utilbp_netgen::{DemandSchedule, Pattern};

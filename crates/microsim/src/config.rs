@@ -102,8 +102,8 @@ pub struct MicroSimConfig {
     /// would serve only vehicles that still have to drive up to the
     /// junction. Short windows also make a green trickle movement read
     /// empty between arrivals, which is what lets the utilization-aware
-    /// ranking hand green back to standing queues (see EXPERIMENTS.md for
-    /// the calibration study).
+    /// ranking hand green back to standing queues (the `ablation_sensors`
+    /// bench of `utilbp-bench` is the calibration study).
     pub detection_range_m: f64,
     /// Speed below which a vehicle counts as waiting (SUMO's waiting-time
     /// definition uses 0.1 m/s).

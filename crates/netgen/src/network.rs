@@ -20,6 +20,7 @@
 use std::sync::Arc;
 
 use utilbp_core::standard::{self, Approach};
+use utilbp_core::LinkId;
 
 use crate::grid::GridNetwork;
 use crate::patterns::{Pattern, TurningProbabilities};
@@ -193,8 +194,9 @@ impl Network {
 ///
 /// `entry` may be any road that feeds an intersection — a boundary entry
 /// when building a [`Network`]'s per-entry route sets, or an *internal*
-/// road when continuing a journey mid-network (the en-route replanning
-/// of [`crate::Replanner`] enumerates detours this way).
+/// road when continuing a journey mid-network. The en-route replanning
+/// of [`crate::Replanner`] searches detours with the same depth-first
+/// walk, keeping only the best candidate instead of listing them all.
 ///
 /// Weights follow a memoryless turning model: at each junction the vehicle
 /// goes straight, left, or right with the probability `turning` assigns to
@@ -218,99 +220,161 @@ pub fn enumerate_routes(
     max_turns: usize,
     max_hops: usize,
 ) -> Vec<RouteOption> {
-    let (start_i, start_arm) = topology
-        .road(entry)
-        .dest()
-        .expect("route enumeration starts at a road that feeds an intersection");
-    let start_approach =
-        Approach::from_incoming(start_arm).expect("entry feeds a four-way incoming arm");
-
-    let mut out = Vec::new();
-    let mut hops: Vec<(IntersectionId, utilbp_core::LinkId)> = Vec::new();
-    let mut roads: Vec<RoadId> = vec![entry];
-    walk(
-        topology,
+    let mut collect = Collect {
         entry,
-        start_i,
-        start_approach,
-        1.0,
-        max_turns,
-        max_hops,
-        turning,
-        &mut hops,
-        &mut roads,
-        &mut out,
-    );
-    out
+        out: Vec::new(),
+    };
+    RouteWalk::default().run(topology, entry, turning, max_turns, max_hops, &mut collect);
+    collect.out
 }
 
-/// Depth-first walk behind [`enumerate_routes`].
-#[allow(clippy::too_many_arguments)]
-fn walk(
-    topology: &NetworkTopology,
+/// What the depth-first route walk behind [`enumerate_routes`] reports,
+/// and where it may be cut short.
+///
+/// The walk visits movements in [`standard::Turn::ALL`] order at every
+/// junction and carries each partial path's turning-model weight as the
+/// running product `weight * p` of its per-hop probabilities, so every
+/// visitor sees the same paths in the same order with the same weights.
+pub(crate) trait RouteVisitor {
+    /// The walk is about to land on `road` (never the start road), with
+    /// `weight` the turning-model weight of the path up to and including
+    /// that crossing. Returning `false` skips the road and every path
+    /// through it.
+    fn enter(&mut self, road: RoadId, weight: f64) -> bool;
+
+    /// A path reached a boundary exit: `hops` from the start road, and
+    /// `roads` the start road followed by one landing road per hop.
+    fn exit(&mut self, weight: f64, hops: &[(IntersectionId, LinkId)], roads: &[RoadId]);
+}
+
+/// The [`enumerate_routes`] visitor: keeps every path as a
+/// [`RouteOption`].
+struct Collect {
     entry: RoadId,
-    here: IntersectionId,
-    approach: Approach,
-    weight: f64,
-    turns_left: usize,
-    hops_left: usize,
-    turning: &TurningProbabilities,
-    hops: &mut Vec<(IntersectionId, utilbp_core::LinkId)>,
-    roads: &mut Vec<RoadId>,
-    out: &mut Vec<RouteOption>,
-) {
-    if hops_left == 0 {
-        return;
+    out: Vec<RouteOption>,
+}
+
+impl RouteVisitor for Collect {
+    fn enter(&mut self, _road: RoadId, _weight: f64) -> bool {
+        true
     }
-    let node = topology.intersection(here);
-    assert_eq!(
-        node.layout().num_links(),
-        12,
-        "route enumeration requires standard four-way junctions"
-    );
-    for turn in standard::Turn::ALL {
-        let p = match turn {
-            standard::Turn::Straight => turning.straight(approach),
-            standard::Turn::Left => turning.left(approach),
-            standard::Turn::Right => turning.right(approach),
-        };
-        if p <= 0.0 {
-            continue;
+
+    fn exit(&mut self, weight: f64, hops: &[(IntersectionId, LinkId)], roads: &[RoadId]) {
+        self.out.push(RouteOption {
+            weight,
+            route: Arc::new(Route::new(self.entry, hops.to_vec())),
+            roads: roads.to_vec(),
+        });
+    }
+}
+
+/// The path stacks of the depth-first route walk, kept between walks so
+/// that a caller running many (the replanner, one per anchor road)
+/// allocates them once.
+#[derive(Debug, Default)]
+pub(crate) struct RouteWalk {
+    hops: Vec<(IntersectionId, LinkId)>,
+    roads: Vec<RoadId>,
+}
+
+impl RouteWalk {
+    /// Walks every journey from `start` that reaches a boundary exit
+    /// within `max_hops` crossings and `max_turns` non-straight
+    /// movements, reporting to `visitor` (see [`enumerate_routes`] for the
+    /// turning model and the panics).
+    pub(crate) fn run<V: RouteVisitor>(
+        &mut self,
+        topology: &NetworkTopology,
+        start: RoadId,
+        turning: &TurningProbabilities,
+        max_turns: usize,
+        max_hops: usize,
+        visitor: &mut V,
+    ) {
+        let (start_i, start_arm) = topology
+            .road(start)
+            .dest()
+            .expect("route enumeration starts at a road that feeds an intersection");
+        let start_approach =
+            Approach::from_incoming(start_arm).expect("entry feeds a four-way incoming arm");
+        self.hops.clear();
+        self.roads.clear();
+        self.roads.push(start);
+        Walker {
+            topology,
+            turning,
+            hops: &mut self.hops,
+            roads: &mut self.roads,
+            visitor,
         }
-        if turn != standard::Turn::Straight && turns_left == 0 {
-            continue;
+        .walk(start_i, start_approach, 1.0, max_turns, max_hops);
+    }
+}
+
+/// One walk in progress: the fixed inputs, the path stacks and the
+/// visitor.
+struct Walker<'w, V> {
+    topology: &'w NetworkTopology,
+    turning: &'w TurningProbabilities,
+    hops: &'w mut Vec<(IntersectionId, LinkId)>,
+    roads: &'w mut Vec<RoadId>,
+    visitor: &'w mut V,
+}
+
+impl<V: RouteVisitor> Walker<'_, V> {
+    fn walk(
+        &mut self,
+        here: IntersectionId,
+        approach: Approach,
+        weight: f64,
+        turns_left: usize,
+        hops_left: usize,
+    ) {
+        if hops_left == 0 {
+            return;
         }
-        let link = standard::link_id(approach, turn);
-        let exit_arm = turn.exit_from(approach);
-        let next_road = node.outgoing_road(exit_arm.outgoing());
-        hops.push((here, link));
-        roads.push(next_road);
-        match topology.road(next_road).dest() {
-            None => out.push(RouteOption {
-                weight: weight * p,
-                route: Arc::new(Route::new(entry, hops.clone())),
-                roads: roads.clone(),
-            }),
-            Some((there, in_arm)) => {
-                let next_approach =
-                    Approach::from_incoming(in_arm).expect("four-way arm indices map to compass");
-                walk(
-                    topology,
-                    entry,
-                    there,
-                    next_approach,
-                    weight * p,
-                    turns_left - usize::from(turn != standard::Turn::Straight),
-                    hops_left - 1,
-                    turning,
-                    hops,
-                    roads,
-                    out,
-                );
+        let node = self.topology.intersection(here);
+        assert_eq!(
+            node.layout().num_links(),
+            12,
+            "route enumeration requires standard four-way junctions"
+        );
+        for turn in standard::Turn::ALL {
+            let p = match turn {
+                standard::Turn::Straight => self.turning.straight(approach),
+                standard::Turn::Left => self.turning.left(approach),
+                standard::Turn::Right => self.turning.right(approach),
+            };
+            if p <= 0.0 {
+                continue;
             }
+            if turn != standard::Turn::Straight && turns_left == 0 {
+                continue;
+            }
+            let next_road = node.outgoing_road(turn.exit_from(approach).outgoing());
+            let next_weight = weight * p;
+            if !self.visitor.enter(next_road, next_weight) {
+                continue;
+            }
+            self.hops.push((here, standard::link_id(approach, turn)));
+            self.roads.push(next_road);
+            match self.topology.road(next_road).dest() {
+                None => self.visitor.exit(next_weight, self.hops, self.roads),
+                Some((there, in_arm)) => {
+                    let next_approach = Approach::from_incoming(in_arm)
+                        .expect("four-way arm indices map to compass");
+                    self.walk(
+                        there,
+                        next_approach,
+                        next_weight,
+                        turns_left - usize::from(turn != standard::Turn::Straight),
+                        hops_left - 1,
+                    );
+                }
+            }
+            self.hops.pop();
+            self.roads.pop();
         }
-        hops.pop();
-        roads.pop();
     }
 }
 

@@ -10,9 +10,8 @@
 //! suffix:
 //!
 //! - [`replan`](Replanner::replan) diverts journeys that would enter a
-//!   *closed* road, splicing the best-weighted open detour (enumerated
-//!   with [`enumerate_routes`] from the first uncommitted road) onto the
-//!   preserved prefix.
+//!   *closed* road, splicing the best-weighted open detour from the first
+//!   uncommitted road onto the preserved prefix.
 //! - [`replan_congested`](Replanner::replan_congested) diverts journeys
 //!   that would enter a *congested* road (a caller-supplied mask), with
 //!   candidates scored through the road-weight view so the detour choice
@@ -23,6 +22,30 @@
 //!   journey back when a *strictly* better open continuation exists (a
 //!   reopened road un-dominates the original route) — the reopening
 //!   counterpart of `replan`.
+//!
+//! # The detour search
+//!
+//! The candidates from an anchor road are the journeys
+//! [`enumerate_routes`](crate::enumerate_routes) would list from it
+//! (bounded turns and depth), and the chosen one is the candidate of
+//! highest score — its turning-model weight times the weight of every
+//! road it enters, multiplied in travel order — with ties kept in
+//! enumeration order and a zero score inadmissible. The planner finds it
+//! without listing the candidates: it runs the same depth-first walk with
+//! a visitor that scores each exit as it reaches it, keeps only the
+//! running best, and cuts a subtree
+//!
+//! - on entering a closed or zero-weight road, and
+//! - once the partial turning weight is `<=` the best score so far.
+//!
+//! The second cut is exact, not a heuristic. Turning probabilities lie in
+//! `[0, 1]`, and so must road weights (the constructor asserts it). Under
+//! round-to-nearest, multiplying a non-negative float by a factor in
+//! `[0, 1]` never raises it, so no exit below a partial weight can score
+//! above it, and pruning on `<=` keeps the earlier of two tied
+//! candidates. The walk therefore returns the exhaustive scan's choice
+//! and score bit for bit, without materializing the ~1,000 candidates a
+//! 10×10 grid offers per anchor.
 //!
 //! Everything is deterministic: enumeration order is fixed by the
 //! topology, the best option wins by (weighted) score with ties broken by
@@ -37,7 +60,7 @@ use utilbp_core::standard::{self, Turn};
 use utilbp_core::LinkId;
 use utilbp_metrics::VehicleId;
 
-use crate::network::enumerate_routes;
+use crate::network::{RouteVisitor, RouteWalk};
 use crate::patterns::TurningProbabilities;
 use crate::route::Route;
 use crate::topology::{IntersectionId, NetworkTopology, RoadId};
@@ -114,8 +137,10 @@ pub struct Replanner<'a> {
     max_hops: usize,
     /// Best open suffix per anchor road (`None` = no open detour exists),
     /// so N stranded vehicles behind the same junction cost one
-    /// enumeration, not N.
+    /// search, not N.
     cache: HashMap<usize, Option<SuffixPlan>>,
+    /// The detour search's path stacks, reused across anchors.
+    walk: RouteWalk,
     /// Roads introduced by rewritten suffixes that the original routes
     /// did not traverse, in first-seen order (deduplicated).
     detours: Vec<RoadId>,
@@ -149,6 +174,7 @@ impl<'a> Replanner<'a> {
             max_turns: DEFAULT_MAX_TURNS,
             max_hops: (topology.num_intersections() + 4).min(MAX_HOPS_CAP),
             cache: HashMap::new(),
+            walk: RouteWalk::default(),
             detours: Vec::new(),
             diverted: 0,
             restored: 0,
@@ -162,10 +188,14 @@ impl<'a> Replanner<'a> {
     /// policy; [`restore`](Self::restore) expects a weight-free planner
     /// (its dominance comparison is against the turning model alone).
     ///
+    /// Weights lie in `[0, 1]`: the detour search prunes on the partial
+    /// turning weight, which bounds a candidate's score only when no road
+    /// can multiply it up (see the module docs).
+    ///
     /// # Panics
     ///
     /// Panics if either slice is not sized to the topology's road count,
-    /// or a weight is negative or non-finite.
+    /// or a weight lies outside `[0, 1]` (NaN included).
     pub fn with_road_weights(
         topology: &'a NetworkTopology,
         turning: &'a TurningProbabilities,
@@ -178,8 +208,8 @@ impl<'a> Replanner<'a> {
             "road-weight view must cover every road"
         );
         assert!(
-            weights.iter().all(|w| w.is_finite() && *w >= 0.0),
-            "road weights must be finite and non-negative"
+            weights.iter().all(|w| (0.0..=1.0).contains(w)),
+            "road weights must lie in [0, 1]"
         );
         let mut planner = Replanner::new(topology, turning, closed);
         planner.road_weights = Some(weights);
@@ -224,23 +254,48 @@ impl<'a> Replanner<'a> {
     /// it on first use), or `None` when no admissible suffix exists.
     fn cached_suffix(&mut self, anchor: RoadId) -> Option<&SuffixPlan> {
         if !self.cache.contains_key(&anchor.index()) {
-            let plan = best_open_suffix(
-                self.topology,
-                anchor,
-                self.turning,
-                self.closed,
-                self.road_weights,
-                self.max_turns,
-                self.max_hops,
-            );
+            let plan = self.best_open_suffix(anchor);
             self.cache.insert(anchor.index(), plan);
         }
         self.cache.get(&anchor.index()).unwrap().as_ref()
     }
 
+    /// The best fully-open journey continuing from `anchor` under the
+    /// closure mask and the optional road-weight view: highest score wins
+    /// (turning weight × the weight of each entered road, in travel
+    /// order), ties keep enumeration order, and a zero score is
+    /// inadmissible.
+    ///
+    /// One bound-pruned walk finds it without building a
+    /// [`RouteOption`](crate::RouteOption): it skips closed and
+    /// zero-weight roads and every subtree whose partial turning weight
+    /// is `<=` the best score so far. Because turning probabilities and
+    /// road weights lie in `[0, 1]`, and a round-to-nearest multiply by
+    /// such a factor never raises a non-negative float, that weight
+    /// bounds every score below it exactly, so the result equals the
+    /// exhaustive scan's bit for bit (module docs).
+    fn best_open_suffix(&mut self, anchor: RoadId) -> Option<SuffixPlan> {
+        let mut best = BestSuffix {
+            closed: self.closed,
+            road_weights: self.road_weights,
+            score: 0.0,
+            hops: Vec::new(),
+            roads: Vec::new(),
+        };
+        self.walk.run(
+            self.topology,
+            anchor,
+            self.turning,
+            self.max_turns,
+            self.max_hops,
+            &mut best,
+        );
+        (best.score > 0.0).then_some((best.hops, best.roads, best.score))
+    }
+
     /// The turning-model weight of `route`'s hops from `fixed_hops` on —
-    /// the same product [`enumerate_routes`] would assign the suffix, so
-    /// the two compare exactly (bit-for-bit, same multiplication order).
+    /// the same product the route walk would assign the suffix, so the
+    /// two compare exactly (bit-for-bit, same multiplication order).
     fn suffix_weight(&self, route: &Route, fixed_hops: usize) -> f64 {
         let mut weight = 1.0;
         for &(_, link) in &route.hops()[fixed_hops..] {
@@ -405,54 +460,57 @@ impl<'a> Replanner<'a> {
     }
 }
 
-/// The best fully-open journey continuing from `anchor` under the
-/// closure mask and the optional road-weight view: highest score wins
-/// (turning weight × the product of entered roads' weights), ties keep
-/// enumeration order; zero-score candidates are inadmissible.
-fn best_open_suffix(
-    topology: &NetworkTopology,
-    anchor: RoadId,
-    turning: &TurningProbabilities,
-    closed: &[bool],
-    road_weights: Option<&[f64]>,
-    max_turns: usize,
-    max_hops: usize,
-) -> Option<SuffixPlan> {
-    let options = enumerate_routes(topology, anchor, turning, max_turns, max_hops);
-    let mut best: Option<(f64, &crate::network::RouteOption)> = None;
-    for opt in &options {
+/// The detour search's [`RouteVisitor`]: admits only open roads of
+/// positive weight, scores each exit leaf as the walk reaches it, keeps
+/// the running best, and cuts every subtree whose partial turning-model
+/// weight cannot beat it (see the module docs for why that cut is exact).
+struct BestSuffix<'v> {
+    closed: &'v [bool],
+    road_weights: Option<&'v [f64]>,
+    /// The best score so far; `0.0` until a leaf is admitted, since a
+    /// zero score is inadmissible.
+    score: f64,
+    hops: Vec<(IntersectionId, LinkId)>,
+    roads: Vec<RoadId>,
+}
+
+impl RouteVisitor for BestSuffix<'_> {
+    fn enter(&mut self, road: RoadId, weight: f64) -> bool {
+        // `weight` bounds the score of every leaf below, so a subtree
+        // whose weight does not exceed the best cannot replace it (ties
+        // keep the earlier leaf).
+        weight > self.score
+            && !self.closed[road.index()]
+            && self.road_weights.is_none_or(|w| w[road.index()] > 0.0)
+    }
+
+    fn exit(&mut self, weight: f64, hops: &[(IntersectionId, LinkId)], roads: &[RoadId]) {
         // `roads[0]` is the anchor itself: the vehicle is already bound
-        // to it, so its closure/congestion state cannot be helped here.
-        if opt.roads[1..].iter().any(|r| closed[r.index()]) {
-            continue;
-        }
-        let score = match road_weights {
-            None => opt.weight,
-            Some(w) => {
-                let mut s = opt.weight;
-                for r in &opt.roads[1..] {
-                    s *= w[r.index()];
-                }
-                s
-            }
+        // to it, so it takes no part in the score.
+        let score = match self.road_weights {
+            None => weight,
+            Some(w) => roads[1..].iter().fold(weight, |s, r| s * w[r.index()]),
         };
-        if score <= 0.0 {
-            continue;
-        }
-        match best {
-            Some((b, _)) if score <= b => {}
-            _ => best = Some((score, opt)),
+        if score > self.score {
+            self.score = score;
+            self.hops.clear();
+            self.hops.extend_from_slice(hops);
+            self.roads.clear();
+            self.roads.extend_from_slice(roads);
         }
     }
-    best.map(|(score, opt)| (opt.route.hops().to_vec(), opt.roads.clone(), score))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generators::RingSpec;
     use crate::grid::{GridNetwork, GridSpec};
-    use crate::network::Network;
+    use crate::network::{enumerate_routes, Network, RouteOption};
     use crate::patterns::Pattern;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn setup() -> (Network, RoadId, Vec<bool>) {
         let grid = GridNetwork::new(GridSpec::paper());
@@ -767,5 +825,183 @@ mod tests {
             !steered_roads[2..].contains(&steer),
             "a near-zero weight steers the detour off that road"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "road weights must lie in [0, 1]")]
+    fn road_weights_above_one_are_rejected() {
+        let (net, _, mask) = setup();
+        let mut weights = vec![1.0; net.topology().num_roads()];
+        weights[0] = 1.5;
+        let _ = Replanner::with_road_weights(
+            net.topology(),
+            &TurningProbabilities::PAPER,
+            &mask,
+            &weights,
+        );
+    }
+
+    /// The exhaustive reference for [`Replanner::best_open_suffix`]: list
+    /// every candidate with [`enumerate_routes`], then keep the highest
+    /// score (turning weight × entered roads' weights, in travel order);
+    /// ties keep enumeration order, and a zero score is inadmissible.
+    fn exhaustive_best_suffix(planner: &Replanner<'_>, anchor: RoadId) -> Option<SuffixPlan> {
+        let options = enumerate_routes(
+            planner.topology,
+            anchor,
+            planner.turning,
+            planner.max_turns,
+            planner.max_hops,
+        );
+        let mut best: Option<(f64, &RouteOption)> = None;
+        for opt in &options {
+            if opt.roads[1..].iter().any(|r| planner.closed[r.index()]) {
+                continue;
+            }
+            let score = match planner.road_weights {
+                None => opt.weight,
+                Some(w) => {
+                    let mut s = opt.weight;
+                    for r in &opt.roads[1..] {
+                        s *= w[r.index()];
+                    }
+                    s
+                }
+            };
+            if score <= 0.0 {
+                continue;
+            }
+            match best {
+                Some((b, _)) if score <= b => {}
+                _ => best = Some((score, opt)),
+            }
+        }
+        best.map(|(score, opt)| (opt.route.hops().to_vec(), opt.roads.clone(), score))
+    }
+
+    /// Checks the pruned search against [`exhaustive_best_suffix`] from
+    /// every anchor road of `net`, under a closure mask and turning table
+    /// drawn from `seed` and each kind of weight view (none, all ones,
+    /// continuous with zeros, coarse with zeros), then checks that a
+    /// weight-free planner answering from the reference gives the same
+    /// restore verdict on every entry route at every cursor position.
+    fn assert_search_matches_exhaustive(net: &Network, seed: u64) {
+        let topo = net.topology();
+        let n = topo.num_roads();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let close_p = [0.0, 0.05, 0.2][rng.gen_range(0..3usize)];
+        let closed: Vec<bool> = (0..n).map(|_| rng.gen_bool(close_p)).collect();
+        // Coarse probabilities make equal-weight candidates common, and a
+        // zero probability leaves movements unexplored.
+        let turning = if rng.gen_bool(0.5) {
+            TurningProbabilities::PAPER
+        } else {
+            let mut right_left = [(0.0, 0.0); 4];
+            for rl in &mut right_left {
+                let r = [0.0, 0.25, 0.5][rng.gen_range(0..3usize)];
+                *rl = (r, [0.0, 0.25, 0.5][rng.gen_range(0..3usize)]);
+            }
+            TurningProbabilities::new(right_left).expect("right + left <= 1")
+        };
+        let views = [
+            None,
+            Some(vec![1.0; n]),
+            Some(
+                (0..n)
+                    .map(|_| {
+                        if rng.gen_bool(0.2) {
+                            0.0
+                        } else {
+                            rng.gen_range(0.0..=1.0)
+                        }
+                    })
+                    .collect::<Vec<f64>>(),
+            ),
+            Some(
+                (0..n)
+                    .map(|_| [0.0, 0.5, 1.0][rng.gen_range(0..3usize)])
+                    .collect(),
+            ),
+        ];
+        let anchors: Vec<RoadId> = topo
+            .road_ids()
+            .filter(|&r| topo.road(r).dest().is_some())
+            .collect();
+        for (kind, view) in views.iter().enumerate() {
+            let mut planner = match view {
+                None => Replanner::new(topo, &turning, &closed),
+                Some(w) => Replanner::with_road_weights(topo, &turning, &closed, w),
+            };
+            for &anchor in &anchors {
+                let reference = exhaustive_best_suffix(&planner, anchor);
+                let searched = planner.best_open_suffix(anchor);
+                let context = format!("seed {seed}, view {kind}, anchor {anchor:?}");
+                match (searched, reference) {
+                    (None, None) => {}
+                    (Some((hops, roads, score)), Some((ref_hops, ref_roads, ref_score))) => {
+                        assert_eq!(hops, ref_hops, "hops differ: {context}");
+                        assert_eq!(roads, ref_roads, "roads differ: {context}");
+                        assert_eq!(
+                            score.to_bits(),
+                            ref_score.to_bits(),
+                            "score bits differ: {context}"
+                        );
+                    }
+                    (searched, reference) => panic!(
+                        "admissibility differs ({} vs {}): {context}",
+                        searched.is_some(),
+                        reference.is_some()
+                    ),
+                }
+            }
+        }
+        let mut searching = Replanner::new(topo, &turning, &closed);
+        let mut reference = Replanner::new(topo, &turning, &closed);
+        for &anchor in &anchors {
+            let plan = exhaustive_best_suffix(&reference, anchor);
+            reference.cache.insert(anchor.index(), plan);
+        }
+        for e in 0..net.num_entries() {
+            for opt in net.route_options(e) {
+                for fixed in 0..=opt.route.len() {
+                    assert_eq!(
+                        searching.restore(&opt.route, fixed),
+                        reference.restore(&opt.route, fixed),
+                        "restore verdicts differ: seed {seed}, entry {e}, fixed {fixed}"
+                    );
+                }
+            }
+        }
+        assert_eq!(searching.restored(), reference.restored());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn pruned_search_matches_exhaustive_on_the_paper_grid(seed in 0u64..u64::MAX) {
+            let net = Network::from_grid(&GridNetwork::new(GridSpec::paper()), Pattern::II);
+            assert_search_matches_exhaustive(&net, seed);
+        }
+
+        #[test]
+        fn pruned_search_matches_exhaustive_on_a_ring(seed in 0u64..u64::MAX) {
+            assert_search_matches_exhaustive(&RingSpec::default().build(), seed);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3))]
+
+        #[test]
+        fn pruned_search_matches_exhaustive_on_a_ten_by_ten_grid(seed in 0u64..u64::MAX) {
+            let spec = GridSpec {
+                rows: 10,
+                cols: 10,
+                ..GridSpec::paper()
+            };
+            let net = Network::from_grid(&GridNetwork::new(spec), Pattern::I);
+            assert_search_matches_exhaustive(&net, seed);
+        }
     }
 }

@@ -53,9 +53,11 @@
 //!
 //! - **Closure diversion** ([`ReplanPolicy::AtNextJunction`]): when a
 //!   closure fires, the engine rewrites the route of every upstream
-//!   vehicle whose remaining journey would enter the closed road, using
-//!   `utilbp-netgen`'s bounded-turn route enumeration from the first road
-//!   the vehicle has not yet committed to.
+//!   vehicle whose remaining journey would enter the closed road onto the
+//!   best open continuation among `utilbp-netgen`'s bounded-turn routes
+//!   from the first road the vehicle has not yet committed to (found by a
+//!   bound-pruned depth-first search that never lists the route set, and
+//!   chosen exactly as the exhaustive scan would).
 //! - **Reopen-restore**: when a closed road reopens, vehicles a closure
 //!   diverted (tracked by id through the `replan_routes` callback) are
 //!   rewritten back onto a strictly better open continuation when one now
@@ -167,8 +169,9 @@ pub enum ReplanPolicy {
     Off,
     /// When a closure fires, every vehicle whose remaining route would
     /// enter the closed road diverts at the next junction it has not yet
-    /// committed to, via bounded-turn route enumeration over the open
-    /// network. Vehicles with no open detour (or already committed to
+    /// committed to, onto the best bounded-turn route over the open
+    /// network (a bound-pruned search, exact against listing every
+    /// route). Vehicles with no open detour (or already committed to
     /// enter the closed road) keep their route and wait, as under
     /// [`ReplanPolicy::Off`]. When the road reopens, diverted vehicles
     /// whose remaining detour is strictly dominated by an open

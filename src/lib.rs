@@ -73,8 +73,11 @@
 //! - **Closure diversion** (`AtNextJunction`): when a road closes
 //!   mid-run, [`netgen::Replanner`] rewrites the uncommitted suffix of
 //!   every upstream vehicle whose journey would enter it, splicing the
-//!   best-weighted open detour from bounded-turn route enumeration onto
-//!   the preserved committed prefix.
+//!   best-weighted open detour onto the preserved committed prefix. The
+//!   detour comes from a bound-pruned depth-first search over
+//!   bounded-turn routes that keeps only the running best; it is exact,
+//!   returning the choice an exhaustive enumeration would make, bit for
+//!   bit.
 //! - **Reopen-restore**: the engine tracks diverted vehicles by id; when
 //!   the road reopens, vehicles whose detour is *strictly* dominated by
 //!   an open continuation are rewritten back ([`netgen::Replanner`]'s
@@ -263,14 +266,13 @@
 //! );
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `DESIGN.md` /
-//! `EXPERIMENTS.md` for the reproduction methodology and measured
-//! results. The consolidated workspace guides live in `docs/`:
-//! `docs/ARCHITECTURE.md` (crate graph, tick data-flow, where each
-//! layer's contract is documented) and `docs/PERFORMANCE.md` (the
-//! vehicle-storage layout story, the bench protocol behind
-//! `BENCH_sim_throughput.json` and its run-entry schema, and the
-//! shared-hardware caveats that govern how to read the numbers).
+//! See `examples/` for runnable scenarios. The consolidated workspace
+//! guides live in `docs/`: `docs/ARCHITECTURE.md` (crate graph, tick
+//! data-flow, where each layer's contract is documented) and
+//! `docs/PERFORMANCE.md` (the vehicle-storage layout story, the gating
+//! `perfbench/` benchmark declared in `BENCHMARK.json`, the older bench
+//! protocol behind `BENCH_sim_throughput.json` and its run-entry schema,
+//! and the shared-hardware caveats that govern how to read the numbers).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

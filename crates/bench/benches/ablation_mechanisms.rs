@@ -1,4 +1,4 @@
-//! Extension study (DESIGN.md §6): ablates UTIL-BP's mechanisms —
+//! Extension study: ablates UTIL-BP's mechanisms —
 //! hysteresis (`g*`), the `α`/`β` special cases, per-movement pressure,
 //! and adaptivity itself (fixed-length variant) — on Pattern I.
 

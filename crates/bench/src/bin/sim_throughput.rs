@@ -1,7 +1,7 @@
 //! Plain `--release` throughput runner for the perf-tracking harness.
 //!
 //! Measures steady-state simulator step throughput (ticks/second) per
-//! substrate × workload × parallelism mode under UTIL-BP control and
+//! substrate × workload under UTIL-BP control and
 //! writes the machine-readable `BENCH_sim_throughput.json`
 //! (`cargo run --release -p utilbp-bench --bin sim_throughput`).
 //!
@@ -24,9 +24,8 @@
 //! PRs can attribute their wins.
 //!
 //! Each invocation **appends** a run object to the JSON's `runs` array —
-//! the perf trajectory across PRs is preserved, never overwritten (a
-//! pre-existing single-run file from the old flat format is migrated to
-//! `runs[0]`). Unlike the Criterion `sim_throughput` bench target, this
+//! the perf trajectory across PRs is preserved, never overwritten.
+//! Unlike the Criterion `sim_throughput` bench target, this
 //! runner has no harness dependency, uses a fixed warm-up +
 //! measured-tick protocol (best of `BENCH_REPS` repetitions, default 3,
 //! to shrug off scheduler noise), and always emits JSON, which makes its
@@ -45,7 +44,7 @@
 use std::time::Instant;
 
 use utilbp_bench::trajectory::{append_run, render_run, Measurement};
-use utilbp_core::{Parallelism, SignalController, Tick, Ticks, UtilBp};
+use utilbp_core::{SignalController, Tick, Ticks, UtilBp};
 use utilbp_microsim::{Fidelity, MicroSimConfig, PhaseTimings};
 use utilbp_netgen::{
     DemandConfig, DemandGenerator, DemandSchedule, GridNetwork, GridSpec, Pattern,
@@ -80,7 +79,6 @@ fn demand(grid: &GridNetwork) -> DemandGenerator {
 fn measure_grid(
     backend: Backend,
     size: u32,
-    mode: Parallelism,
     fidelity: Fidelity,
     ticks: u64,
     reps: u32,
@@ -92,7 +90,6 @@ fn measure_grid(
         grid.topology().clone(),
         controllers(n),
         MicroSimConfig {
-            parallelism: mode,
             fidelity,
             ..MicroSimConfig::default()
         },
@@ -138,7 +135,6 @@ fn measure_grid(
     Measurement {
         substrate: backend.name(),
         workload,
-        mode,
         ticks,
         seconds: best,
         phases,
@@ -154,12 +150,7 @@ fn measure_grid(
 /// comparison inherits the drift. Interleaving puts both contracts in
 /// the same windows, so the pairwise ratio is trustworthy even when the
 /// absolute numbers wobble.
-fn measure_grid_fidelity_pair(
-    size: u32,
-    mode: Parallelism,
-    ticks: u64,
-    reps: u32,
-) -> (Measurement, Measurement) {
+fn measure_grid_fidelity_pair(size: u32, ticks: u64, reps: u32) -> (Measurement, Measurement) {
     let grid = GridNetwork::new(GridSpec::with_size(size, size));
     let n = grid.topology().num_intersections();
     let build = |fidelity| {
@@ -169,7 +160,6 @@ fn measure_grid_fidelity_pair(
                 grid.topology().clone(),
                 controllers(n),
                 MicroSimConfig {
-                    parallelism: mode,
                     fidelity,
                     ..MicroSimConfig::default()
                 },
@@ -221,7 +211,6 @@ fn measure_grid_fidelity_pair(
         out.push(Measurement {
             substrate: Backend::Microscopic.name(),
             workload,
-            mode,
             ticks,
             seconds,
             phases: Some(phases),
@@ -320,7 +309,6 @@ fn measure_scenario_instrumented(
     Measurement {
         substrate: backend.name(),
         workload,
-        mode: Parallelism::Serial,
         ticks,
         seconds: best,
         phases: None,
@@ -381,35 +369,30 @@ fn main() {
 
     let mut results = Vec::new();
     for &(size, q_ticks, m_ticks) in plan {
-        for mode in [Parallelism::Serial, Parallelism::Rayon] {
-            let q = measure_grid(
-                Backend::Queueing,
-                size,
-                mode,
-                Fidelity::Exact,
-                tick_override.unwrap_or(q_ticks),
-                reps,
-            );
+        let q = measure_grid(
+            Backend::Queueing,
+            size,
+            Fidelity::Exact,
+            tick_override.unwrap_or(q_ticks),
+            reps,
+        );
+        eprintln!(
+            "queueing    {size:>2}x{size:<2}: {:>10.1} ticks/s",
+            q.ticks_per_sec()
+        );
+        results.push(q);
+        // Both car-following contracts on every microscopic grid row,
+        // reps interleaved across the pair so shared-box drift cancels
+        // out of the exact/batched ratio.
+        let (exact, batched) =
+            measure_grid_fidelity_pair(size, tick_override.unwrap_or(m_ticks), reps);
+        for m in [exact, batched] {
             eprintln!(
-                "queueing    {size:>2}x{size:<2} {:>6}: {:>10.1} ticks/s",
-                utilbp_bench::trajectory::mode_name(mode),
-                q.ticks_per_sec()
+                "microscopic {:<13}: {:>10.1} ticks/s",
+                m.workload,
+                m.ticks_per_sec()
             );
-            results.push(q);
-            // Both car-following contracts on every microscopic grid
-            // row, reps interleaved across the pair so shared-box drift
-            // cancels out of the exact/batched ratio.
-            let (exact, batched) =
-                measure_grid_fidelity_pair(size, mode, tick_override.unwrap_or(m_ticks), reps);
-            for m in [exact, batched] {
-                eprintln!(
-                    "microscopic {:<13} {:>6}: {:>10.1} ticks/s",
-                    m.workload,
-                    utilbp_bench::trajectory::mode_name(mode),
-                    m.ticks_per_sec()
-                );
-                results.push(m);
-            }
+            results.push(m);
         }
     }
     // `grid-incident-replan` keeps the closure-replanning machinery in

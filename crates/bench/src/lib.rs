@@ -10,9 +10,9 @@
 //!   `fig5_queue_lengths` — regenerate the paper's evaluation artifacts
 //!   (`cargo bench -p utilbp-bench --bench fig2_period_sweep` prints the
 //!   same rows/series the paper reports);
-//! - `ablation_mechanisms`, `ablation_sensors` — extension studies from
-//!   DESIGN.md (which UTIL-BP mechanism buys what; detector-range
-//!   sensitivity).
+//! - `ablation_mechanisms`, `ablation_sensors` — extension studies
+//!   beyond the paper (which UTIL-BP mechanism buys what;
+//!   detector-range sensitivity).
 //!
 //! By default the regeneration targets run at a reduced scale (15-minute
 //! pattern hours) so `cargo bench` finishes in minutes; set `UTILBP_FULL=1`

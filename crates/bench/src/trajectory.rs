@@ -3,7 +3,7 @@
 //!
 //! The trajectory file is hand-rolled JSON (the workspace's `serde` shim
 //! does not serialize): a `runs` array where each run records the
-//! measurement protocol and one row per substrate × workload × mode.
+//! measurement protocol and one row per substrate × workload.
 //! [`render_run`] and [`append_run`] produce it; [`verify_trajectory`]
 //! asserts the invariants that used to live as inline Python in the CI
 //! workflow — every expected run label present in order, the required
@@ -15,7 +15,6 @@
 //! in `docs/PERFORMANCE.md`; keep the two in sync when the schema
 //! changes.
 
-use utilbp_core::Parallelism;
 use utilbp_microsim::PhaseTimings;
 
 /// Workload rows every fresh trajectory run must contain (the largest
@@ -31,14 +30,12 @@ pub const REQUIRED_WORKLOADS: &[&str] = &[
     "10x10+batched",
 ];
 
-/// One throughput measurement: a substrate × workload × mode row.
+/// One throughput measurement: a substrate × workload row.
 pub struct Measurement {
     /// Substrate name (`"queueing"` / `"microscopic"`).
     pub substrate: &'static str,
     /// Workload label: `"5x5"` for grids, the scenario name otherwise.
     pub workload: String,
-    /// Execution mode of the sharded phases.
-    pub mode: Parallelism,
     /// Measured tick count.
     pub ticks: u64,
     /// Best-of-reps wall-clock seconds for the measured ticks.
@@ -52,14 +49,6 @@ impl Measurement {
     /// The row's headline rate.
     pub fn ticks_per_sec(&self) -> f64 {
         self.ticks as f64 / self.seconds
-    }
-}
-
-/// The JSON name of an execution mode.
-pub fn mode_name(mode: Parallelism) -> &'static str {
-    match mode {
-        Parallelism::Serial => "serial",
-        Parallelism::Rayon => "rayon",
     }
 }
 
@@ -84,10 +73,9 @@ pub fn render_run(results: &[Measurement], warmup_ticks: u64, reps: u32, label: 
     s.push_str("      \"results\": [\n");
     for (i, m) in results.iter().enumerate() {
         s.push_str(&format!(
-            "        {{\"substrate\": \"{}\", \"grid\": \"{}\", \"mode\": \"{}\", \"measured_ticks\": {}, \"seconds\": {:.4}, \"ticks_per_sec\": {:.1}",
+            "        {{\"substrate\": \"{}\", \"grid\": \"{}\", \"mode\": \"serial\", \"measured_ticks\": {}, \"seconds\": {:.4}, \"ticks_per_sec\": {:.1}",
             m.substrate,
             m.workload,
-            mode_name(m.mode),
             m.ticks,
             m.seconds,
             m.ticks_per_sec(),
@@ -113,42 +101,20 @@ pub fn render_run(results: &[Measurement], warmup_ticks: u64, reps: u32, label: 
 }
 
 /// Appends `new_run` to the `runs` array of an existing benchmark file,
-/// migrating the pre-`runs` flat format (a single `protocol`/`results`
-/// object) to `runs[0]`. Returns the full new file contents.
+/// or starts a fresh file when there is none. Returns the full new file
+/// contents.
 pub fn append_run(existing: Option<String>, new_run: &str) -> String {
-    let header = "{\n  \"benchmark\": \"sim_throughput\",\n  \"unit\": \"ticks_per_second\",\n  \"runs\": [\n";
     let footer = "\n  ]\n}\n";
     if let Some(text) = existing {
         if let Some(end) = text.rfind("\n  ]\n}") {
             if text.contains("\"runs\": [") {
-                // Already the runs format: splice before the closing `]`.
+                // Splice before the closing `]`.
                 return format!("{},\n{new_run}{footer}", &text[..end]);
-            }
-        }
-        if let (Some(proto_start), Some(res_start)) =
-            (text.find("\"protocol\": "), text.find("\"results\": [\n"))
-        {
-            // Flat single-run format: lift protocol + rows into runs[0].
-            let proto_end = text[proto_start..].find('\n').map(|o| proto_start + o);
-            let res_body_start = res_start + "\"results\": [\n".len();
-            let res_end = text[res_body_start..]
-                .find("\n  ]")
-                .map(|o| res_body_start + o);
-            if let (Some(proto_end), Some(res_end)) = (proto_end, res_end) {
-                let protocol = text[proto_start..proto_end].trim_end_matches(',');
-                let rows: String = text[res_body_start..res_end]
-                    .lines()
-                    .map(|l| format!("    {l}\n"))
-                    .collect();
-                let migrated = format!(
-                    "    {{\n      {protocol},\n      \"results\": [\n{}      ]\n    }}",
-                    rows
-                );
-                return format!("{header}{migrated},\n{new_run}{footer}");
             }
         }
         eprintln!("warning: could not parse existing benchmark file; starting a fresh trajectory");
     }
+    let header = "{\n  \"benchmark\": \"sim_throughput\",\n  \"unit\": \"ticks_per_second\",\n  \"runs\": [\n";
     format!("{header}{new_run}{footer}")
 }
 
@@ -239,7 +205,6 @@ mod tests {
         Measurement {
             substrate,
             workload: workload.to_string(),
-            mode: Parallelism::Serial,
             ticks: 100,
             seconds: 0.5,
             phases: timed.then_some(PhaseTimings {
@@ -350,14 +315,6 @@ mod tests {
         let text = append_run(None, &untimed);
         let err = verify_trajectory(&text, &["untimed"]).unwrap_err();
         assert!(err.contains("phase_fractions"), "{err}");
-    }
-
-    #[test]
-    fn flat_format_files_migrate_to_runs_zero() {
-        let flat = "{\n  \"benchmark\": \"sim_throughput\",\n  \"unit\": \"ticks_per_second\",\n  \"protocol\": {\"label\": \"legacy\", \"warmup_ticks\": 300, \"controller\": \"util-bp\", \"pattern\": \"I\", \"seed\": 7, \"best_of_reps\": 3},\n  \"results\": [\n    {\"substrate\": \"queueing\", \"grid\": \"3x3\", \"mode\": \"serial\", \"measured_ticks\": 100, \"seconds\": 0.1, \"ticks_per_sec\": 1000.0}\n  ]\n}\n";
-        let migrated = append_run(Some(flat.to_string()), &full_run("fresh"));
-        assert_eq!(run_labels(&migrated), ["legacy", "fresh"]);
-        verify_trajectory(&migrated, &["legacy", "fresh"]).expect("migrated file verifies");
     }
 
     #[test]

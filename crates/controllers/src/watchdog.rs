@@ -28,7 +28,7 @@
 //! the adaptive controller's internal state stay warm), so hand-offs
 //! are seamless and the whole wrapper stays deterministic: it draws no
 //! randomness and each instance owns its own [`WatchdogStats`] handle,
-//! which parallel substrates never share across intersections.
+//! which no other intersection shares.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -92,7 +92,7 @@ struct StatsInner {
 /// A shared, read-side handle onto one [`Degrading`] wrapper's
 /// counters: the scenario engine keeps a clone per intersection and
 /// aggregates after the run. Each wrapper mutates only its own handle,
-/// so parallel substrates stay deterministic.
+/// so the counts are deterministic.
 #[derive(Debug, Clone, Default)]
 pub struct WatchdogStats(Arc<StatsInner>);
 

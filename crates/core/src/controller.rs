@@ -113,10 +113,11 @@ impl fmt::Display for PhaseDecision {
 /// }
 /// ```
 ///
-/// Controllers must be [`Send`] so the simulators' shard-parallel decide
-/// phase (see [`Parallelism`](crate::Parallelism)) can move each
-/// controller to a worker thread; they never need `Sync` — each is
-/// exclusively owned by its intersection's shard.
+/// Controllers must be [`Send`] so that a simulator, which owns its
+/// controllers, is itself `Send` and can be handed to another thread
+/// (independent runs are swept in parallel under `std::thread::scope`).
+/// They never need `Sync`: each is exclusively owned by its
+/// intersection, and a tick runs on one thread.
 pub trait SignalController: Send {
     /// Decides the phase for the mini-slot starting at `now`.
     fn decide(&mut self, view: &IntersectionView<'_>, now: Tick) -> PhaseDecision;

@@ -56,11 +56,11 @@
 #![warn(missing_docs)]
 
 mod controller;
+pub mod decide;
 mod ids;
 mod layout;
 pub mod notation;
 mod observation;
-pub mod parallel;
 pub mod pressure;
 pub mod standard;
 pub mod state;
@@ -68,12 +68,12 @@ mod time;
 mod utilbp;
 
 pub use controller::{PhaseDecision, SignalController};
+pub use decide::Parallelism;
 pub use ids::{IncomingId, LinkId, OutgoingId, PhaseId};
 pub use layout::{IntersectionLayout, IntersectionLayoutBuilder, LayoutError, Link, Phase};
 pub use observation::{
     IntersectionView, ObservationBuffer, ObservationShapeError, QueueObservation,
 };
-pub use parallel::Parallelism;
 pub use pressure::{GainPenalties, PenaltyError};
 pub use time::{Tick, Ticks};
 pub use utilbp::{GStarPolicy, GainMode, PhaseScore, UtilBp, UtilBpConfig};

@@ -196,8 +196,7 @@ impl QueueObservation {
 /// same observations every tick, so the steady-state step path performs
 /// no observation-related heap allocation. The buffer also
 /// decouples the *sense* phase (write, `&mut self`) from the *decide*
-/// phase (read-only views), which is what lets the decide phase shard
-/// across threads.
+/// phase (read-only views).
 #[derive(Debug, Clone, Default)]
 pub struct ObservationBuffer {
     observations: Vec<QueueObservation>,

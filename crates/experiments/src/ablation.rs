@@ -1,6 +1,6 @@
 //! Ablation study: which of UTIL-BP's mechanisms buys what.
 //!
-//! DESIGN.md calls out four separable design choices in Algorithm 1:
+//! Algorithm 1 combines four separable design choices:
 //! per-movement pressure (Eq. 6 change (i)), the `α`/`β` special cases
 //! (Eq. 8), the `g*` keep-phase hysteresis (Eq. 12), and varying-length
 //! phases themselves. This module compares the full controller against one

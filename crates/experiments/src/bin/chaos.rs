@@ -13,7 +13,7 @@
 //! Every simulation runs with the invariant guard installed; any
 //! conservation, sensor-consistency, or closed-road violation panics
 //! with a tick-stamped diagnostic. Property failures the harness can
-//! report gracefully (Serial/Rayon divergence, repeat-run divergence,
+//! report gracefully (repeat-run divergence, crash-recovery divergence,
 //! degradation bound breach) print a one-line diagnostic and exit 1.
 
 use utilbp_experiments::{

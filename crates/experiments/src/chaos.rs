@@ -8,18 +8,17 @@
 //! same config always generates the same timelines, so a failing seed is
 //! a one-line repro.
 //!
-//! For every timeline × backend the harness runs the scenario four
-//! times, always with the [`InvariantGuard`] installed (so vehicle
-//! conservation, sensor consistency, and closed-road emptiness are
-//! re-proved after every tick — any violation panics with a tick-stamped
-//! diagnostic):
+//! For every timeline × backend the harness runs the scenario three
+//! times plus a recovery round, always with the [`InvariantGuard`]
+//! installed (so vehicle conservation, sensor consistency, and
+//! closed-road emptiness are re-proved after every tick — any violation
+//! panics with a tick-stamped diagnostic):
 //!
-//! 1. watchdog installed, `Serial` — the reference outcome;
-//! 2. watchdog installed, `Rayon` — must equal the reference bit for
-//!    bit (the substrate determinism contract under active faults);
-//! 3. watchdog installed, `Serial` again — repeat determinism;
-//! 4. watchdog absent, `Serial` — the degradation baseline;
-//! 5. a **crash-recovery round**: the reference run is repeated with
+//! 1. watchdog installed — the reference outcome;
+//! 2. watchdog installed again — must equal the reference bit for bit
+//!    (repeat determinism under active faults);
+//! 3. watchdog absent — the degradation baseline;
+//! 4. a **crash-recovery round**: the reference run is repeated with
 //!    periodic checkpointing, killed at 5/8 of the horizon (inside the
 //!    actuation-fault window), its newest checkpoint suffers a torn
 //!    write, and recovery must reject the damage on checksum/structure
@@ -37,7 +36,7 @@
 //!
 //! [`InvariantGuard`]: utilbp_substrate::InvariantGuard
 
-use utilbp_core::{Parallelism, Tick, Ticks};
+use utilbp_core::{Tick, Ticks};
 use utilbp_metrics::TextTable;
 use utilbp_scenario::{
     run_scenario, Backend, CheckpointPolicy, DemandProfile, EngineConfig, ReplanPolicy,
@@ -255,13 +254,13 @@ fn grid_topology() -> TopologySpec {
 }
 
 /// Runs the harness: generates `config.timelines` timelines, runs each
-/// on every configured backend (see the module docs for the four runs
-/// per timeline), and returns the report.
+/// on every configured backend (see the module docs for the runs per
+/// timeline), and returns the report.
 ///
 /// # Errors
 ///
 /// Returns a one-line diagnostic naming the timeline seed on the first
-/// violated property: a Serial/Rayon or repeat-run outcome mismatch, or
+/// violated property: a repeat-run outcome mismatch, or
 /// an aggregate degradation bound breach. Invariant violations inside a
 /// run (conservation, sensor consistency, closed-road emptiness) panic
 /// with the guard's tick-stamped diagnostic instead — the harness runs
@@ -286,19 +285,8 @@ pub fn run_chaos(config: &ChaosConfig) -> Result<ChaosReport, String> {
                     with.watchdog = Some(utilbp_baselines::WatchdogConfig::default());
 
                     let serial = EngineConfig::new(backend).guarded();
-                    let rayon = EngineConfig {
-                        parallelism: Parallelism::Rayon,
-                        ..serial
-                    };
                     let reference = run_scenario(with.clone(), serial, &factory)
                         .map_err(|e| format!("timeline seed {seed} on {backend}: {e}"))?;
-                    let on_pool = run_scenario(with.clone(), rayon, &factory)
-                        .map_err(|e| format!("timeline seed {seed} on {backend}: {e}"))?;
-                    if on_pool != reference {
-                        return Err(format!(
-                            "timeline seed {seed} on {backend}: Rayon outcome diverges from Serial"
-                        ));
-                    }
                     let repeat = run_scenario(with.clone(), serial, &factory)
                         .map_err(|e| format!("timeline seed {seed} on {backend}: {e}"))?;
                     if repeat != reference {
@@ -307,7 +295,7 @@ pub fn run_chaos(config: &ChaosConfig) -> Result<ChaosReport, String> {
                         ));
                     }
 
-                    // Run 5: the crash-recovery round (see the module
+                    // Run 4: the crash-recovery round (see the module
                     // docs). Period horizon/6 guarantees at least two
                     // captures exist by the 5/8-horizon kill, so there
                     // is a valid fallback behind the torn newest.

@@ -1,7 +1,6 @@
 //! Scenario sweeps: run scenario specs across controllers on both
 //! substrates and render a comparison table.
 
-use utilbp_core::Parallelism;
 use utilbp_metrics::TextTable;
 use utilbp_scenario::{run_scenario, EngineConfig, ScenarioOutcome, ScenarioSpec};
 
@@ -87,10 +86,9 @@ impl ScenarioComparison {
 ///
 /// `horizon_cap` trims each scenario's horizon (quick/CI runs); closure
 /// and fault events past a trimmed horizon are dropped with the trim.
-/// `parallelism` selects the execution mode of each simulation's sharded
-/// phases — results are bit-identical across modes (the substrate
-/// determinism contract), which the CI determinism matrix checks by
-/// diffing rendered tables across `RAYON_NUM_THREADS` settings.
+/// Results are bit-identical across repeats (the substrate determinism
+/// contract), which CI checks by diffing the rendered tables of two
+/// runs.
 ///
 /// # Panics
 ///
@@ -101,7 +99,6 @@ pub fn scenario_comparison(
     backends: &[Backend],
     controllers: &[ControllerKind],
     horizon_cap: Option<u64>,
-    parallelism: Parallelism,
 ) -> ScenarioComparison {
     let mut jobs: Vec<(ScenarioSpec, Backend)> = Vec::new();
     for spec in specs {
@@ -126,10 +123,7 @@ pub fn scenario_comparison(
                     let outcomes: Vec<ScenarioOutcome> = controllers
                         .iter()
                         .map(|kind| {
-                            let config = EngineConfig {
-                                parallelism,
-                                ..EngineConfig::new(*backend)
-                            };
+                            let config = EngineConfig::new(*backend);
                             run_scenario(spec.clone(), config, &|_| kind.build())
                                 .unwrap_or_else(|e| panic!("scenario {}: {e}", spec.name))
                         })
@@ -173,7 +167,6 @@ mod tests {
                 ControllerKind::FixedTime { period: 20 },
             ],
             Some(150),
-            Parallelism::Serial,
         );
         assert_eq!(comparison.rows.len(), 2);
         for row in &comparison.rows {
@@ -196,7 +189,6 @@ mod tests {
             &[Backend::Queueing],
             &[ControllerKind::UtilBp],
             Some(200),
-            Parallelism::Serial,
         );
         let rendered = comparison.render();
         let outcome = &comparison.rows[0].outcomes[0];
@@ -215,7 +207,6 @@ mod tests {
             &[Backend::Queueing],
             &[ControllerKind::UtilBp],
             Some(100),
-            Parallelism::Serial,
         );
         // Close at 150 is past the 100-tick cap, so the event is gone and
         // the run still validates.

@@ -70,16 +70,6 @@ fn scenarios_rejects_a_missing_flag_value() {
         "scenarios",
         "--builtin needs a scenario name",
     );
-    assert_clean_failure(
-        &scenarios(&["--parallelism"]),
-        "scenarios",
-        "--parallelism needs serial|rayon",
-    );
-    assert_clean_failure(
-        &scenarios(&["--parallelism", "osmosis"]),
-        "scenarios",
-        "unknown parallelism `osmosis`",
-    );
 }
 
 #[test]

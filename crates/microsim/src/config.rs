@@ -50,7 +50,7 @@ pub enum OutgoingSensor {
 /// no generator state) an exact short-circuit for parked queues, whose
 /// update is the identity for every possible draw. Batched mode is
 /// still fully deterministic — bit-identical across
-/// `Serial`/`Rayon`/repeats *with itself* and checkpoint-safe — but its
+/// repeats *with itself* and checkpoint-safe — but its
 /// trajectories differ from exact mode's and are validated
 /// distributionally (the `equivalence` harness), not per-bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -119,12 +119,11 @@ pub struct MicroSimConfig {
     /// the junction box, in m/s.
     pub insertion_speed_mps: f64,
     /// RNG seed for dawdling noise. Dawdling streams are per road (each
-    /// road derives its own generator from this seed), which is what
-    /// keeps serial and parallel stepping bit-identical.
+    /// road derives its own generator from this seed).
     pub seed: u64,
-    /// Execution mode of the controller-decide and car-following phases.
-    /// Serial by default; [`Parallelism::Rayon`] shards both phases
-    /// across threads, step-for-step identical to serial.
+    /// Execution mode of a step. [`Parallelism`] has a single value
+    /// (every phase runs on the calling thread); the field remains only
+    /// for configurations that still assign it.
     pub parallelism: Parallelism,
     /// Numerical contract of the car-following phase (see [`Fidelity`]).
     /// `Exact` by default; `Batched` is strictly opt-in.

@@ -7,14 +7,13 @@
 //! each sample *statelessly* from the key `(seed, vehicle_id, tick)`:
 //!
 //! - **Order-independent** — a vehicle's draw is the same whatever order
-//!   the fleet is visited in, so lanes can be updated in any order (or in
-//!   SIMD lanes) without changing a single trajectory.
+//!   the fleet is visited in, so lanes can be updated in any order
+//!   without changing a single trajectory.
 //! - **Deterministic** — the same key always yields the same sample,
-//!   across `Serial`/`Rayon`, repeats, and checkpoint restores (the key
-//!   is plain data, so there is no stream position to save).
-//! - **Vectorizable** — one SplitMix64-style integer mix plus a bit-cast
-//!   to `f64`; no loop-carried state and no `u64 → f64` conversion
-//!   instruction (pre-AVX-512 hardware has none worth vectorizing).
+//!   across repeats and checkpoint restores (the key is plain data, so
+//!   there is no stream position to save).
+//! - **Cheap** — one SplitMix64-style integer mix plus a bit-cast to
+//!   `f64`, with no loop-carried state.
 //!
 //! The statistical quality bar is modest — dawdling wants i.i.d.-looking
 //! `U[0, 1)` noise, not cryptographic strength — and the SplitMix64
@@ -64,23 +63,6 @@ pub(crate) fn uniform01(word: u64) -> f64 {
 #[inline]
 pub(crate) fn dawdle_xi(seed: u64, vehicle_id: u64, tick: u64) -> f64 {
     uniform01(mix(seed, vehicle_id, tick))
-}
-
-/// Bulk dawdle draws: `out[k] = sigma_a_dt * uniform01(finish(xi_base,
-/// ids[k]))` for each packed id. This is the `simd`-feature pass of the
-/// batched kernel: the loop has no loop-carried state — each element is
-/// an integer avalanche, a bit-plant, and two float ops on contiguous
-/// input/output — so the optimizer autovectorizes it, whereas the fused
-/// per-follower draw sits inside the sequential Krauss recurrence where
-/// no vectorization is possible. Compiled (and unit-tested for
-/// bit-identity against the inline expression) unconditionally so the
-/// gated path can never drift from the default one.
-#[cfg_attr(not(any(test, feature = "simd")), allow(dead_code))]
-#[inline]
-pub(crate) fn fill_xi(xi_base: u64, sigma_a_dt: f64, ids: &[u64], out: &mut [f64]) {
-    for (o, &v) in out.iter_mut().zip(ids) {
-        *o = sigma_a_dt * uniform01(finish(xi_base, v));
-    }
 }
 
 #[cfg(test)]
@@ -178,25 +160,6 @@ mod tests {
             (2020, u64::MAX, u64::MAX),
         ] {
             assert_eq!(finish(base(s, t), v), mix(s, v, t));
-        }
-    }
-
-    #[test]
-    fn bulk_draws_are_bit_identical_to_the_inline_path() {
-        // The `simd` feature swaps the kernel's fused per-follower draw
-        // for a precomputed buffer filled by `fill_xi`; the swap is only
-        // sound if every element matches the inline expression to the
-        // bit (f64 multiplication is commutative bitwise, and the hash
-        // is element-pure, so equality must be exact, not approximate).
-        let xi_base = base(2020, 777);
-        let ids: Vec<u64> = (0..200).map(|k| k * 13 + 5).collect();
-        for sigma_a_dt in [0.375, 1.0, 0.0625] {
-            let mut out = vec![0.0; ids.len()];
-            fill_xi(xi_base, sigma_a_dt, &ids, &mut out);
-            for (k, &v) in ids.iter().enumerate() {
-                let inline = sigma_a_dt * uniform01(finish(xi_base, v));
-                assert_eq!(out[k].to_bits(), inline.to_bits(), "id {v}");
-            }
         }
     }
 

@@ -713,9 +713,9 @@ impl NetworkLanes {
         Ok(())
     }
 
-    /// The follower phase's serial entry: one full-range view over the
-    /// hot arrays plus the road spans and the active list — everything
-    /// the serial sweep needs, borrowed disjointly and allocation-free.
+    /// The follower phase's entry: one view over the hot arrays plus the
+    /// road spans and the active list — everything the sweep needs,
+    /// borrowed disjointly and allocation-free.
     pub fn follower_parts(&mut self) -> (LaneView<'_>, &[RoadSpan], &[u32]) {
         (
             LaneView {
@@ -724,69 +724,10 @@ impl NetworkLanes {
                 link: &self.link,
                 id: &self.id,
                 lanes: &mut self.lanes,
-                offset: 0,
-                lane0: 0,
             },
             &self.spans,
             &self.active,
         )
-    }
-
-    /// Splits the hot arrays into disjoint per-shard views at road-region
-    /// boundaries, `chunk` roads per shard — the Rayon follower phase's
-    /// entry. Safe splitting only (`split_at_mut`), no `unsafe`.
-    pub fn follower_shards(&mut self, chunk: usize) -> (Vec<FollowerShard<'_>>, &[RoadSpan]) {
-        let num_roads = self.spans.len();
-        let chunk = chunk.max(1);
-        let total = self.pv.len();
-        let total_lanes = self.lanes.len();
-        let mut shards = Vec::with_capacity(num_roads.div_ceil(chunk));
-        let mut pv = self.pv.as_mut_slice();
-        let mut wait = self.wait.as_mut_slice();
-        let mut lanes = self.lanes.as_mut_slice();
-        let mut link = self.link.as_slice();
-        let mut id = self.id.as_slice();
-        let mut r0 = 0usize;
-        while r0 < num_roads {
-            let r1 = (r0 + chunk).min(num_roads);
-            let start = self.spans[r0].start;
-            let end = if r1 < num_roads {
-                self.spans[r1].start
-            } else {
-                total
-            };
-            let lane0 = self.spans[r0].lane0;
-            let lane_end = if r1 < num_roads {
-                self.spans[r1].lane0
-            } else {
-                total_lanes
-            };
-            let (pv_a, pv_b) = std::mem::take(&mut pv).split_at_mut(end - start);
-            pv = pv_b;
-            let (wait_a, wait_b) = std::mem::take(&mut wait).split_at_mut(end - start);
-            wait = wait_b;
-            let (lanes_a, lanes_b) = std::mem::take(&mut lanes).split_at_mut(lane_end - lane0);
-            lanes = lanes_b;
-            let (link_a, link_b) = link.split_at(end - start);
-            link = link_b;
-            let (id_a, id_b) = id.split_at(end - start);
-            id = id_b;
-            shards.push(FollowerShard {
-                view: LaneView {
-                    pv: pv_a,
-                    wait: wait_a,
-                    link: link_a,
-                    id: id_a,
-                    lanes: lanes_a,
-                    offset: start,
-                    lane0,
-                },
-                r0,
-                r1,
-            });
-            r0 = r1;
-        }
-        (shards, &self.spans)
     }
 
     /// The live `[position, speed]` span of lane `l` of road `r`.
@@ -902,31 +843,17 @@ impl NetworkLanes {
     }
 }
 
-/// A mutable window over the arena's follower-phase arrays: the hot
-/// mutable state (`pv`, `wait`, lane metadata), the read-only per-vehicle
-/// caches (`link`, `id`), and the window's element/lane offsets so
-/// road-span indices translate to window-local indices. The serial sweep
-/// uses one full-range view (offsets 0); the Rayon sweep splits the
-/// arrays into disjoint per-shard views at road boundaries. The `slot`
-/// array is deliberately absent — the follower phase never touches it.
+/// The arena's follower-phase arrays, borrowed disjointly from the
+/// spans and the active list: the hot mutable state (`pv`, `wait`, lane
+/// metadata) and the read-only per-vehicle caches (`link`, `id`), indexed
+/// by road-span offsets directly. The `slot` array is deliberately
+/// absent — the follower phase never touches it.
 pub(crate) struct LaneView<'a> {
     pub(crate) pv: &'a mut [[f64; 2]],
     pub(crate) wait: &'a mut [u32],
     pub(crate) link: &'a [u16],
     pub(crate) id: &'a [u64],
     pub(crate) lanes: &'a mut [LaneMeta],
-    /// Element offset of `pv[0]` within the network arrays.
-    pub(crate) offset: usize,
-    /// Lane-meta offset of `lanes[0]`.
-    pub(crate) lane0: usize,
-}
-
-/// One Rayon shard of the follower phase: a disjoint [`LaneView`] window
-/// covering roads `r0..r1`.
-pub(crate) struct FollowerShard<'a> {
-    pub(crate) view: LaneView<'a>,
-    pub(crate) r0: usize,
-    pub(crate) r1: usize,
 }
 
 /// Per-(road, link) movement counters for mixed-lane roads.
@@ -1157,7 +1084,7 @@ pub(crate) fn advance_head(
 /// [`advance_head`] each step for every lane of an *occupied* road
 /// (roads skipped by the active list carry no vehicles and no pending
 /// scratch that matters — see the module docs); independent across lanes
-/// and roads, which is what the parallel car-following phase shards.
+/// and roads.
 /// Vehicles ending the step at waiting speed accumulate a waiting tick
 /// in place. Returns `(detected_delta, halted_delta)` for the caller's
 /// dense counter arrays.
@@ -1172,7 +1099,7 @@ pub(crate) fn advance_followers(
     rng: &mut SmallRng,
     mut movements: Option<&mut MovementCounters>,
 ) -> (i64, i64) {
-    let li = span.lane0 - view.lane0 + l;
+    let li = span.lane0 + l;
     let m = view.lanes[li];
     let start = if m.head_crossed { 0 } else { 1 };
     view.lanes[li].head_crossed = false;
@@ -1190,7 +1117,7 @@ pub(crate) fn advance_followers(
     let mut leader_pos = f64::INFINITY;
     let mut leader_speed = 0.0;
 
-    let base = span.start - view.offset + l * span.seg;
+    let base = span.start + l * span.seg;
     let n = m.fill - m.head;
     let pv = &mut view.pv[base + m.head..base + m.fill];
     let wait = &mut view.wait[base + m.head..base + m.fill];
@@ -1282,12 +1209,6 @@ pub(crate) fn advance_followers(
 /// draws (each draw has a ~38% chance of landing at or below it).
 const QUIESCE_GAP: f64 = 0.5;
 
-/// Stack-buffer width of the `simd` feature's precomputed dawdle draws:
-/// 1 KiB of stack per lane pass, wide enough that almost every urban
-/// lane fills in one chunk (longer lanes refill per chunk).
-#[cfg(feature = "simd")]
-const XI_CHUNK: usize = 128;
-
 /// The batched-fidelity counterpart of [`advance_followers`]: one call
 /// advances every lane of a road under the batched numerical contract.
 ///
@@ -1331,7 +1252,7 @@ const XI_CHUNK: usize = 128;
 ///
 /// Per-lane sensor deltas fold into `lane_detected` / `lane_halted`;
 /// the road totals are returned. Bit-identical to itself across
-/// `Serial`/`Rayon`, repeats, and checkpoint restores; *not*
+/// repeats and checkpoint restores; *not*
 /// bit-compatible with [`advance_followers`] (the dawdle streams
 /// differ), which the statistical-equivalence harness validates
 /// distributionally.
@@ -1354,13 +1275,9 @@ pub(crate) fn advance_followers_batched_road(
         link,
         id,
         lanes,
-        offset,
-        lane0,
     } = view;
     let seg = span.seg;
-    let road_base = span.start - *offset;
-    let meta_lo = span.lane0 - *lane0;
-    let meta = &mut lanes[meta_lo..meta_lo + span.num_lanes];
+    let meta = &mut lanes[span.lane0..span.lane0 + span.num_lanes];
 
     let dt = cfg.dt_seconds;
     let free_speed = cfg.free_speed_mps;
@@ -1388,9 +1305,9 @@ pub(crate) fn advance_followers_batched_road(
         if n <= start {
             continue;
         }
-        let h = road_base + l * seg + m.head;
+        let h = span.start + l * seg + m.head;
         let f = h + start;
-        let e = road_base + l * seg + m.fill;
+        let e = span.start + l * seg + m.fill;
         // The first follower's leader: the head's post-head-phase state,
         // or the stop line encoded as a standing virtual vehicle at
         // `length + gap_off` — algebraically identical to the exact
@@ -1406,21 +1323,7 @@ pub(crate) fn advance_followers_batched_road(
         let mut clamp_pos = if start == 0 { f64::INFINITY } else { pv[h][0] };
         let mut detected_delta = 0i64;
         let mut halted_delta = 0i64;
-        // `simd` pass: hoist the dawdle draws out of the sequential
-        // recurrence into a vectorizable precompute over the packed id
-        // stream. Element-for-element bit-identical to the fused draw
-        // (`counter_rng` pins it), so the gated build shares every
-        // golden and self-identity contract with the default one. Draws
-        // for frozen vehicles are computed and discarded — the counter
-        // RNG is stateless, so the waste is wall-clock only.
-        #[cfg(feature = "simd")]
-        let mut xi_buf = [0.0f64; XI_CHUNK];
         for i in f..e {
-            #[cfg(feature = "simd")]
-            if sigma_a_dt > 0.0 && (i - f).is_multiple_of(XI_CHUNK) {
-                let hi = (i + XI_CHUNK).min(e);
-                counter_rng::fill_xi(xi_base, sigma_a_dt, &id[i..hi], &mut xi_buf[..hi - i]);
-            }
             let [po, vo] = pv[i];
             let net_gap = leader_pos - po - gap_off;
             // Queue freeze: stopped behind a stationary leader with the
@@ -1438,11 +1341,7 @@ pub(crate) fn advance_followers_batched_road(
                 + (net_gap - leader_speed * tau) / ((vo + leader_speed) * half_inv_decel + tau);
             let v_des = free_speed.min(vo + a_dt).min(v_safe);
             let xi = if sigma_a_dt > 0.0 {
-                #[cfg(feature = "simd")]
-                let x = xi_buf[(i - f) % XI_CHUNK];
-                #[cfg(not(feature = "simd"))]
-                let x = sigma_a_dt * counter_rng::uniform01(counter_rng::finish(xi_base, id[i]));
-                x
+                sigma_a_dt * counter_rng::uniform01(counter_rng::finish(xi_base, id[i]))
             } else {
                 0.0
             };
@@ -1484,7 +1383,7 @@ pub(crate) fn advance_followers_batched_road(
 ///
 /// Composition of [`advance_head`] and [`advance_followers`]; the
 /// simulator calls the two phases separately (all heads first, then all
-/// followers) so the follower phase can shard across threads.
+/// followers), the order the exact-mode goldens pin.
 #[cfg_attr(not(test), allow(dead_code))]
 pub(crate) fn update_lane(
     net: &mut NetworkLanes,

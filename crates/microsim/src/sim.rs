@@ -29,19 +29,17 @@
 //!
 //! One call to [`MicroSim::step_into`] runs, in order: sense (write
 //! per-intersection observations from the incremental detector counters)
-//! → decide (one controller per intersection; shard-parallel under
-//! `Parallelism::Rayon`) → signal refresh → box countdown → head
-//! release (serial — crossings mutate shared junction/road state) →
-//! car-following for the remaining vehicles (streaming over the
-//! network-wide lane arena; the expensive phase, shard-parallel under
-//! Rayon) → landings → insertions. The head and car-following phases
-//! walk the arena's occupancy-ordered active-road list, so empty roads
-//! cost zero cache lines (see [`crate::road`]). Waiting is accumulated
-//! *inside* the
-//! car-following pass (per-vehicle accumulators; see
-//! [`crate::road`]), so there is no separate waiting phase. See the crate
-//! docs' "Performance architecture" section for the invariants each phase
-//! relies on.
+//! → decide (one controller per intersection) → signal refresh → box
+//! countdown → head release (crossings mutate shared junction/road
+//! state) → car-following for the remaining vehicles (streaming over the
+//! network-wide lane arena; the expensive phase) → landings →
+//! insertions. Every phase runs on the calling thread. The head and
+//! car-following phases walk the arena's occupancy-ordered active-road
+//! list, so empty roads cost zero cache lines (see [`crate::road`]).
+//! Waiting is accumulated *inside* the car-following pass (per-vehicle
+//! accumulators; see [`crate::road`]), so there is no separate waiting
+//! phase. See the crate docs' "Performance architecture" section for the
+//! invariants each phase relies on.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -51,7 +49,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use utilbp_core::state::{StateError, StateReader, StateWriter};
 use utilbp_core::{
-    parallel, parallel::ControllerSlot, IncomingId, LinkId, ObservationBuffer, PhaseDecision,
+    decide, decide::ControllerSlot, IncomingId, LinkId, ObservationBuffer, PhaseDecision,
     QueueObservation, SignalController, Tick,
 };
 use utilbp_metrics::{VehicleId, WaitingLedger};
@@ -60,9 +58,8 @@ use utilbp_netgen::{Arrival, IntersectionId, NetworkTopology, RoadId, Route};
 use crate::config::{Fidelity, MicroSimConfig};
 use crate::krauss::{next_speed, LeaderInfo};
 use crate::road::{
-    advance_followers, advance_followers_batched_road, advance_head, DawdleSource, FollowerShard,
-    HeadMode, LaneView, MovementCounters, NetworkLanes, RoadSpan, SensorSpec, VehicleArena,
-    LINK_NONE,
+    advance_followers, advance_followers_batched_road, advance_head, DawdleSource, HeadMode,
+    LaneView, MovementCounters, NetworkLanes, RoadSpan, SensorSpec, VehicleArena, LINK_NONE,
 };
 
 /// A vehicle traversing the junction box: its arena slot plus the wait
@@ -132,9 +129,9 @@ struct RoadSim {
     /// per-decision rescans. `None` under dedicated lanes (the per-lane
     /// counters already answer per-movement queries) and on exit roads.
     move_counts: Option<MovementCounters>,
-    /// This road's dawdling stream. Car-following noise is drawn per road
-    /// (not from one global generator) so the per-road phase can shard
-    /// across threads while staying bit-identical to serial execution.
+    /// This road's dawdling stream. Exact-mode car-following noise is
+    /// drawn per road (each road derives its own generator from the
+    /// seed), in the order the fixed-seed goldens pin.
     rng: SmallRng,
 }
 
@@ -891,20 +888,14 @@ impl MicroSim {
         }
 
         // 2. Decide: one controller per intersection, reading only its own
-        //    observation — embarrassingly parallel, sharded under Rayon.
+        //    observation.
         {
             let topology = &self.topology;
-            parallel::decide_all(
-                self.config.parallelism,
-                &mut self.controllers,
-                &obs_buf,
-                now,
-                |idx| {
-                    topology
-                        .intersection(IntersectionId::new(idx as u32))
-                        .layout()
-                },
-            );
+            decide::decide_all(&mut self.controllers, &obs_buf, now, |idx| {
+                topology
+                    .intersection(IntersectionId::new(idx as u32))
+                    .layout()
+            });
         }
         self.obs_buf = obs_buf;
 
@@ -1093,45 +1084,16 @@ impl MicroSim {
         }
 
         // 6. Car-following for the remaining vehicles: per-road work with
-        //    no cross-road reads or writes — the expensive phase. Serial
-        //    execution walks the active-road list over one full-range
-        //    view of the network arena (a few linear sweeps, zero
-        //    allocation); Rayon splits the arena into disjoint per-shard
-        //    windows at road boundaries (`split_at_mut`, no unsafe) and
-        //    skips empty roads inside each shard. Per-road RNGs keep the
-        //    two bit-identical.
+        //    no cross-road reads or writes — the expensive phase. It walks
+        //    the active-road list over one view of the network arena (a
+        //    few linear sweeps, zero allocation).
         {
             let config = &self.config;
             let roads = &mut self.roads;
-            let net = &mut self.net;
-            let workers = config.parallelism.workers(roads.len());
-            if workers <= 1 {
-                let (mut view, spans, active) = net.follower_parts();
-                for &r in active {
-                    let r = r as usize;
-                    follow_road(&mut view, &spans[r], &mut roads[r], config, tick);
-                }
-            } else {
-                let chunk = roads.len().div_ceil(workers);
-                let (shards, spans) = net.follower_shards(chunk);
-                let mut tasks: Vec<FollowerTask<'_>> = Vec::with_capacity(shards.len());
-                let mut rest: &mut [RoadSim] = roads;
-                for shard in shards {
-                    let take = shard.r1 - shard.r0;
-                    let (head, tail) = std::mem::take(&mut rest).split_at_mut(take);
-                    rest = tail;
-                    tasks.push(FollowerTask { shard, roads: head });
-                }
-                parallel::for_each_indexed_mut(config.parallelism, &mut tasks, |_, task| {
-                    for (i, road) in task.roads.iter_mut().enumerate() {
-                        let r = task.shard.r0 + i;
-                        let span = &spans[r];
-                        if span.live == 0 {
-                            continue;
-                        }
-                        follow_road(&mut task.shard.view, span, road, config, tick);
-                    }
-                });
+            let (mut view, spans, active) = self.net.follower_parts();
+            for &r in active {
+                let r = r as usize;
+                follow_road(&mut view, &spans[r], &mut roads[r], config, tick);
             }
         }
         watch.lap(|t| &mut t.car_following);
@@ -1618,18 +1580,8 @@ fn lane_entry_leader(
     }
 }
 
-/// One Rayon shard of the follower phase: a disjoint arena window plus
-/// the matching chunk of road bookkeeping (sensor counters, RNG streams)
-/// — everything one thread needs, with no sharing.
-struct FollowerTask<'a> {
-    shard: FollowerShard<'a>,
-    roads: &'a mut [RoadSim],
-}
-
 /// Runs the follower phase for one road under the configured fidelity,
-/// folding the kernels' sensor deltas into the road's dense counters —
-/// shared by the serial (active-list) and sharded (Rayon) sweeps, which
-/// keeps them bit-identical by construction.
+/// folding the kernels' sensor deltas into the road's dense counters.
 fn follow_road(
     view: &mut LaneView<'_>,
     span: &RoadSpan,

@@ -14,10 +14,9 @@
 //!
 //! Both simulators implement the workspace's unified plant interface —
 //! the `TrafficSubstrate` trait in `utilbp-substrate` — which states the
-//! cross-substrate contract (determinism across execution modes and
-//! repeats, road-closure semantics, accumulator-based waiting
-//! accounting, deterministic route-cursor access for en-route
-//! replanning) once for both backends.
+//! cross-substrate contract (determinism across repeats, road-closure
+//! semantics, accumulator-based waiting accounting, deterministic
+//! route-cursor access for en-route replanning) once for both backends.
 //!
 //! See [`QueueSim`] for the step semantics and an end-to-end example.
 

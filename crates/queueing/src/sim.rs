@@ -22,8 +22,8 @@ use std::sync::Arc;
 
 use utilbp_core::state::{StateError, StateReader, StateWriter};
 use utilbp_core::{
-    parallel, parallel::ControllerSlot, IncomingId, LinkId, ObservationBuffer, Parallelism,
-    PhaseDecision, PhaseId, QueueObservation, SignalController, Tick, Ticks,
+    decide, decide::ControllerSlot, IncomingId, LinkId, ObservationBuffer, PhaseDecision, PhaseId,
+    QueueObservation, SignalController, Tick, Ticks,
 };
 use utilbp_metrics::{VehicleId, WaitingLedger};
 use utilbp_netgen::{Arrival, IntersectionId, NetworkTopology, RoadId, Route};
@@ -53,11 +53,6 @@ pub struct QueueSimConfig {
     pub free_speed_mps: f64,
     /// Transit model between junctions.
     pub transit: TransitModel,
-    /// Execution mode of the per-step controller-decide phase. Serial by
-    /// default; [`Parallelism::Rayon`] shards the decide phase across
-    /// threads and is step-for-step identical to serial (decisions depend
-    /// only on each intersection's own observation and controller state).
-    pub parallelism: Parallelism,
 }
 
 impl Default for QueueSimConfig {
@@ -66,7 +61,6 @@ impl Default for QueueSimConfig {
             dt_seconds: 1.0,
             free_speed_mps: 13.89,
             transit: TransitModel::FreeFlow,
-            parallelism: Parallelism::Serial,
         }
     }
 }
@@ -699,21 +693,14 @@ impl QueueSim {
         }
 
         // Decide, per intersection, from purely local observations — one
-        // controller per slot, sharded across threads under
-        // [`Parallelism::Rayon`].
+        // controller per slot.
         {
             let topology = &self.topology;
-            parallel::decide_all(
-                self.config.parallelism,
-                &mut self.controllers,
-                &obs_buf,
-                now,
-                |idx| {
-                    topology
-                        .intersection(IntersectionId::new(idx as u32))
-                        .layout()
-                },
-            );
+            decide::decide_all(&mut self.controllers, &obs_buf, now, |idx| {
+                topology
+                    .intersection(IntersectionId::new(idx as u32))
+                    .layout()
+            });
         }
         self.obs_buf = obs_buf;
         watch.lap(|t| &mut t.decide);

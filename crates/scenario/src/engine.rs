@@ -70,7 +70,9 @@ use crate::spec::{Backend, ReplanPolicy, ScenarioEvent, ScenarioSpec};
 pub struct EngineConfig {
     /// The simulation substrate.
     pub backend: Backend,
-    /// Execution mode of the sharded simulation phases.
+    /// Execution mode of a plant tick. [`Parallelism`] has a single value
+    /// (every tick runs on the calling thread); the field remains only
+    /// for configurations that still assign it.
     pub parallelism: Parallelism,
     /// Microscopic parameters.
     pub micro: MicroSimConfig,
@@ -123,8 +125,7 @@ impl Default for EngineConfig {
 }
 
 /// FNV-1a fingerprint of the microscopic parameters, excluding the
-/// execution mode (Serial and Rayon are bit-identical, so a checkpoint
-/// captured under one may be restored under the other). Stored in every
+/// execution mode (which never shapes plant state). Stored in every
 /// checkpoint's metadata: the physical parameters shape the plant state
 /// and the controller inputs, so restoring under different ones would
 /// silently break the bit-identical-continuation contract — the
@@ -1538,10 +1539,10 @@ impl ScenarioEngine {
             Backend::Queueing => 0,
             Backend::Microscopic => 1,
         });
-        meta.push(match self.config.parallelism {
-            Parallelism::Serial => 0,
-            Parallelism::Rayon => 1,
-        });
+        // The execution-mode word: always 0 (serial). Restore also
+        // accepts 1, the tag of the retired intra-tick parallel mode,
+        // whose runs were bit-identical to serial.
+        meta.push(0);
         meta.push_bool(self.config.guard);
         meta.push_bool(self.config.guard_observe);
         meta.push(micro_fingerprint(&self.config.micro));
@@ -1708,10 +1709,10 @@ impl ScenarioEngine {
     /// telemetry JSONL.
     ///
     /// `config.backend` and the guard flags must match the capturing
-    /// engine's (the plant state is substrate-shaped); `config.parallelism`
-    /// **may differ** — Serial and Rayon execution are bit-identical by
-    /// the substrate contract, so a snapshot captured under one mode
-    /// resumes exactly under the other.
+    /// engine's (the plant state is substrate-shaped). The execution-mode
+    /// word in the metadata is `0`; snapshots carrying `1`, written by
+    /// the retired intra-tick parallel mode (bit-identical to serial),
+    /// restore too.
     ///
     /// # Errors
     ///
@@ -2042,5 +2043,70 @@ mod tests {
             fidelity: Fidelity::Exact,
         };
         assert!(ScenarioEngine::new(spec, EngineConfig::default(), &util_factory()).is_err());
+    }
+
+    /// A checkpoint of `bytes` with META word 1 (the execution-mode tag)
+    /// replaced by `tag`, every other section re-emitted unchanged.
+    fn with_mode_tag(bytes: &[u8], tag: u64) -> Vec<u8> {
+        let reader = SnapshotReader::parse(bytes).expect("checkpoint parses");
+        let mut writer = SnapshotWriter::new();
+        for t in reader.tags() {
+            let payload = reader.bytes(t).expect("listed section");
+            if t == TAG_META {
+                let mut words = reader.words(t).expect("meta is words");
+                assert_eq!(words[1], 0, "checkpoints write the serial tag");
+                words[1] = tag;
+                writer.section_words(t, &words);
+            } else {
+                writer.section_bytes(t, payload);
+            }
+        }
+        writer.finish()
+    }
+
+    #[test]
+    fn meta_accepts_the_retired_parallel_tag_and_rejects_unknown_ones() {
+        // Snapshots captured by the retired intra-tick parallel mode carry
+        // execution-mode tag 1; that mode was bit-identical to serial, so
+        // they must keep restoring and finish exactly like an
+        // uninterrupted run.
+        let config = EngineConfig::new(Backend::Queueing);
+        let factory = util_factory();
+        let engine_for = || {
+            let mut spec = builtin("grid-incident-replan").expect("builtin exists");
+            spec.horizon = Ticks::new(460);
+            let mut engine = ScenarioEngine::new(spec, config, &factory).expect("engine builds");
+            engine.enable_recording(256);
+            engine
+        };
+        let mut gold = engine_for();
+        gold.run_to_end();
+
+        let mut engine = engine_for();
+        for _ in 0..260 {
+            engine.step();
+        }
+        let bytes = engine.checkpoint();
+        drop(engine);
+
+        let retired = with_mode_tag(&bytes, 1);
+        let mut resumed = match ScenarioEngine::restore(&retired, config, &factory) {
+            Ok(engine) => engine,
+            Err(e) => panic!("tag 1 must restore: {e}"),
+        };
+        resumed.run_to_end();
+        assert_eq!(resumed.outcome(), gold.outcome());
+        assert_eq!(resumed.events_jsonl(), gold.events_jsonl());
+
+        match ScenarioEngine::restore(&with_mode_tag(&bytes, 2), config, &factory) {
+            Err(RestoreError::Snapshot(utilbp_snapshot::SnapshotError::State(
+                StateError::Invalid {
+                    what: "parallelism tag",
+                    word: 2,
+                },
+            ))) => {}
+            Err(e) => panic!("tag 2 rejected with the wrong error: {e}"),
+            Ok(_) => panic!("tag 2 must be rejected"),
+        }
     }
 }

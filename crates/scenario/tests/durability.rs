@@ -3,12 +3,14 @@
 //! The contract under test: a run interrupted at an arbitrary tick and
 //! resumed from a checkpoint finishes **bit-identically** to the
 //! uninterrupted run — same `ScenarioOutcome`, byte-equal telemetry
-//! JSONL — across scenarios, both substrates, and both execution modes;
+//! JSONL — across scenarios and both substrates;
 //! snapshot→restore→snapshot is a byte-level fixed point; corrupted
 //! containers surface typed errors, never panics; and a fork is a fully
-//! independent timeline.
+//! independent timeline. (Restoring snapshots that carry the retired
+//! parallel execution-mode tag is a unit test in the engine, which owns
+//! the metadata layout.)
 
-use utilbp_core::{Parallelism, SignalController, Ticks, UtilBp};
+use utilbp_core::{SignalController, Ticks, UtilBp};
 use utilbp_scenario::{
     builtin, Backend, CheckpointPolicy, EngineConfig, RestoreError, ScenarioEngine,
 };
@@ -96,29 +98,9 @@ fn resume_is_bit_identical_queueing_serial() {
 }
 
 #[test]
-fn resume_is_bit_identical_queueing_rayon() {
-    let mut config = EngineConfig::new(Backend::Queueing);
-    config.parallelism = Parallelism::Rayon;
-    config.micro.parallelism = Parallelism::Rayon;
-    for &(name, horizon, cut) in MATRIX {
-        assert_bit_identical(name, config, horizon, cut);
-    }
-}
-
-#[test]
 fn resume_is_bit_identical_microscopic_serial() {
     for &(name, horizon, cut) in MATRIX {
         assert_bit_identical(name, EngineConfig::new(Backend::Microscopic), horizon, cut);
-    }
-}
-
-#[test]
-fn resume_is_bit_identical_microscopic_rayon() {
-    let mut config = EngineConfig::new(Backend::Microscopic);
-    config.parallelism = Parallelism::Rayon;
-    config.micro.parallelism = Parallelism::Rayon;
-    for &(name, horizon, cut) in MATRIX {
-        assert_bit_identical(name, config, horizon, cut);
     }
 }
 
@@ -147,32 +129,6 @@ fn snapshot_restore_snapshot_is_a_fixed_point() {
             "{backend:?}: save→load→save must be byte-stable"
         );
     }
-}
-
-#[test]
-fn cross_mode_restore_is_bit_identical() {
-    // Serial and Rayon execution are bit-identical by the substrate
-    // contract, so a checkpoint captured under Serial resumes exactly
-    // under Rayon (and the golden can be computed in either mode).
-    let serial = EngineConfig::new(Backend::Queueing);
-    let mut rayon = serial;
-    rayon.parallelism = Parallelism::Rayon;
-    rayon.micro.parallelism = Parallelism::Rayon;
-
-    let (gold, gold_jsonl) = golden("grid-incident-replan", serial, 460);
-
-    let bytes = {
-        let mut engine = engine_for("grid-incident-replan", serial, 460);
-        for _ in 0..260 {
-            engine.step();
-        }
-        engine.checkpoint()
-    };
-    let mut resumed =
-        ScenarioEngine::restore(&bytes, rayon, &controller).expect("cross-mode restore");
-    resumed.run_to_end();
-    assert_eq!(resumed.outcome(), gold.outcome());
-    assert_eq!(resumed.events_jsonl(), gold_jsonl);
 }
 
 #[test]

@@ -68,6 +68,7 @@ fn main() {
     println!("{}", table.render());
     println!(
         "\nBoth substrates should agree that the adaptive controller beats the \
-         open-loop one; absolute seconds differ by design (see DESIGN.md)."
+         open-loop one; absolute seconds differ by design (the microscopic \
+         substrate adds startup lost time, discharge headways and travel times)."
     );
 }

@@ -14,7 +14,7 @@ fn chaos_harness_passes_twenty_timelines_per_backend() {
     // Each timeline runs four times per backend, always with the
     // invariant guard installed: a conservation, sensor-consistency, or
     // closed-road violation panics with a tick-stamped diagnostic, and
-    // a Serial/Rayon or repeat-run divergence fails the run. `Ok` here
+    // a repeat-run or crash-recovery divergence fails the run. `Ok` here
     // IS the property bundle: zero panics, exact conservation every
     // tick, bit-identical outcomes under active faults, and bounded
     // degradation.

@@ -1,8 +1,8 @@
-//! Scenario-engine guarantees: determinism across execution modes and
-//! repeated runs (including runs with mid-run disruption events), and
+//! Scenario-engine guarantees: determinism across repeated runs
+//! (including runs with mid-run disruption events), and
 //! closure events that provably block and reroute traffic.
 
-use adaptive_backpressure::core::{Parallelism, SignalController, Tick, Ticks, UtilBp};
+use adaptive_backpressure::core::{SignalController, Tick, Ticks, UtilBp};
 use adaptive_backpressure::scenario::{
     builtin, builtin_scenarios, parse_scenario, run_scenario, Backend, DemandProfile, EngineConfig,
     ReplanPolicy, ScenarioEngine, ScenarioEvent, ScenarioOutcome, ScenarioSpec, TopologySpec,
@@ -12,12 +12,8 @@ fn util_factory() -> impl Fn(usize) -> Box<dyn SignalController> {
     |_| Box::new(UtilBp::paper()) as Box<dyn SignalController>
 }
 
-fn run(spec: &ScenarioSpec, backend: Backend, parallelism: Parallelism) -> ScenarioOutcome {
-    let config = EngineConfig {
-        parallelism,
-        ..EngineConfig::new(backend)
-    };
-    run_scenario(spec.clone(), config, &util_factory()).expect("spec validates")
+fn run(spec: &ScenarioSpec, backend: Backend) -> ScenarioOutcome {
+    run_scenario(spec.clone(), EngineConfig::new(backend), &util_factory()).expect("spec validates")
 }
 
 /// The incident scenario trimmed to a fast horizon that still covers the
@@ -60,7 +56,7 @@ fn same_scenario_and_seed_is_bit_identical_across_parallelism_and_repeats() {
     // Includes the closure/reopen scenarios — with and without en-route
     // replanning — plus the reopen-restore and congestion-replanning
     // builtins: events, periodic monitor reads, and route rewriting must
-    // not disturb determinism in either execution mode.
+    // not disturb repeat determinism.
     let specs = [
         incident_spec(),
         replan_spec(),
@@ -74,17 +70,11 @@ fn same_scenario_and_seed_is_bit_identical_across_parallelism_and_repeats() {
     ];
     for spec in &specs {
         for backend in Backend::ALL {
-            let serial_a = run(spec, backend, Parallelism::Serial);
-            let serial_b = run(spec, backend, Parallelism::Serial);
-            let rayon = run(spec, backend, Parallelism::Rayon);
+            let first = run(spec, backend);
+            let repeat = run(spec, backend);
             // Bit-identical: f64 metrics compared exactly, not within eps.
-            assert_eq!(serial_a, serial_b, "{} repeat on {backend}", spec.name);
-            assert_eq!(
-                serial_a, rayon,
-                "{} serial vs rayon on {backend}",
-                spec.name
-            );
-            assert!(serial_a.generated > 0, "{} on {backend}", spec.name);
+            assert_eq!(first, repeat, "{} repeat on {backend}", spec.name);
+            assert!(first.generated > 0, "{} on {backend}", spec.name);
         }
     }
 }
@@ -95,8 +85,8 @@ fn scenario_files_reproduce_in_memory_specs() {
     let spec = incident_spec();
     let reparsed = parse_scenario(&spec.to_text()).expect("rendered spec parses");
     assert_eq!(reparsed, spec);
-    let a = run(&spec, Backend::Queueing, Parallelism::Serial);
-    let b = run(&reparsed, Backend::Queueing, Parallelism::Serial);
+    let a = run(&spec, Backend::Queueing);
+    let b = run(&reparsed, Backend::Queueing);
     assert_eq!(a, b, "a round-tripped file runs identically");
 }
 
@@ -300,8 +290,8 @@ fn surge_and_fault_scenarios_stay_deterministic_with_events_applied() {
         fidelity: adaptive_backpressure::microsim::Fidelity::Exact,
     };
     for backend in Backend::ALL {
-        let a = run(&spec, backend, Parallelism::Serial);
-        let b = run(&spec, backend, Parallelism::Rayon);
+        let a = run(&spec, backend);
+        let b = run(&spec, backend);
         assert_eq!(a, b, "events + faults stay deterministic on {backend}");
     }
 }
@@ -309,11 +299,10 @@ fn surge_and_fault_scenarios_stay_deterministic_with_events_applied() {
 #[test]
 fn mid_run_fault_switch_toggling_stays_deterministic_across_parallelism() {
     // The timeline normally drives the fault switches; here an external
-    // supervisor toggles them between steps — open, shut, open again —
-    // while the sharded phases run on the pool. Outcomes must stay
-    // bit-identical across Serial/Rayon and across repeats: the switch
-    // is read once per decision, and gated decorators draw nothing
-    // while inactive.
+    // supervisor toggles them between steps — open, shut, open again.
+    // Outcomes must stay bit-identical across repeats: the switch is
+    // read once per decision, and gated decorators draw nothing while
+    // inactive.
     let spec = ScenarioSpec {
         name: "switch-toggle".to_string(),
         seed: 17,
@@ -353,13 +342,10 @@ fn mid_run_fault_switch_toggling_stays_deterministic_across_parallelism() {
         watchdog: None,
         fidelity: adaptive_backpressure::microsim::Fidelity::Exact,
     };
-    let toggled_run = |backend: Backend, parallelism: Parallelism| -> ScenarioOutcome {
-        let config = EngineConfig {
-            parallelism,
-            ..EngineConfig::new(backend)
-        };
+    let toggled_run = |backend: Backend| -> ScenarioOutcome {
         let mut engine =
-            ScenarioEngine::new(spec.clone(), config, &util_factory()).expect("spec validates");
+            ScenarioEngine::new(spec.clone(), EngineConfig::new(backend), &util_factory())
+                .expect("spec validates");
         let sensors = engine.sensor_fault_switch();
         let actuators = engine.actuation_fault_switch();
         while engine.now().index() < engine.spec().horizon.count() {
@@ -381,12 +367,10 @@ fn mid_run_fault_switch_toggling_stays_deterministic_across_parallelism() {
         engine.outcome()
     };
     for backend in Backend::ALL {
-        let serial_a = toggled_run(backend, Parallelism::Serial);
-        let serial_b = toggled_run(backend, Parallelism::Serial);
-        let rayon = toggled_run(backend, Parallelism::Rayon);
-        assert_eq!(serial_a, serial_b, "{backend}: repeat determinism");
-        assert_eq!(serial_a, rayon, "{backend}: serial vs rayon");
-        assert!(serial_a.generated > 0, "{backend}");
+        let first = toggled_run(backend);
+        let repeat = toggled_run(backend);
+        assert_eq!(first, repeat, "{backend}: repeat determinism");
+        assert!(first.generated > 0, "{backend}");
     }
 }
 
